@@ -5,8 +5,7 @@ Times ``check_safety(..., lazy_spec=True)`` per cell — the PR 2 engine
 False``) vs the compiled spec oracle (packed-int spec states, memoized
 int-indexed rows) — and writes ``BENCH_spec_compiled.json``.  Verdicts
 and all reported counts are asserted identical between the paths before
-any timing is reported, and a ``--jobs`` differential asserts that
-sharded runs reproduce the serial results bit for bit.
+any timing is reported.
 
 As in ``bench_compiled.py``, each path runs ``--rounds`` rounds per cell
 on one long-lived TM instance: ``cold_s`` is the first round (for the
@@ -29,12 +28,7 @@ kernel's** array-only bitset BFS over the recorded CSR (``dense_bfs_s``
 / ``dense_speedup``, gated by ``--require-dense-parity``), and (on
 cells whose full spec is materializable) the DFA-sided BFS over the
 Statement-keyed delta vs the int-indexed rows, which must not be slower
-(``--require-dfa-parity``).  The ``--jobs`` differential runs both
-sharding flavours — the sharded product BFS itself and row-only
-sharding — and records their timings next to the serial ones; a
-``jobs_sweep`` (default 1/2/4, with the chosen ``--chunk-size`` and
-pool reuse) is recorded per cell, flagged as correctness-only on 1-core
-boxes.  A per-phase ``profile`` split (engine build / row discovery /
+(``--require-dfa-parity``).  A per-phase ``profile`` split (engine build / row discovery /
 product BFS / trace rerun) of one cold check rides along per cell.
 
 Intended CI use::
@@ -98,11 +92,7 @@ def run_path(
     prop,
     spec_compiled: bool,
     rounds: int,
-    jobs: int = 1,
-    shard_product: bool = True,
     cache_dir: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    reuse_pool: bool = False,
     dense_kernel: bool = True,
 ) -> dict:
     """Rounds of one cell on one long-lived TM instance."""
@@ -117,10 +107,6 @@ def run_path(
             lazy_spec=True,
             spec_compiled=spec_compiled,
             dense_kernel=dense_kernel,
-            jobs=jobs,
-            shard_product=shard_product,
-            chunk_size=chunk_size,
-            reuse_pool=reuse_pool,
             cache_dir=cache_dir,
         )
 
@@ -129,8 +115,6 @@ def run_path(
         t0 = time.perf_counter()
         check()
         times.append(time.perf_counter() - t0)
-    if reuse_pool:
-        compile_tm(tm).close_pools()
     assert result is not None
     return {
         "holds": result.holds,
@@ -154,8 +138,7 @@ def product_bfs_split(
 
     ``check_safety`` times above include row computation and engine
     warm-up; here the kernel product functions are timed directly with
-    every row memoized, isolating the pair-loop itself — the bottleneck
-    the sharded product BFS attacks.  On ``dfa_split`` cells the
+    every row memoized, isolating the pair-loop itself.  On ``dfa_split`` cells the
     DFA-sided loop is timed twice: over the Statement-keyed delta
     (``product_dfa_direct``) and over the int-indexed rows
     (``product_dfa_packed``) — the int-ized delta must not be slower on
@@ -323,30 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"comma-separated subset of {list(CELLS)}",
     )
     parser.add_argument(
-        "--jobs-check",
-        type=int,
-        default=2,
-        metavar="N",
-        help="assert jobs=N results equal serial results, for both the"
-        " sharded product BFS and row-only sharding (0 disables, and"
-        " also disables the jobs sweep)",
-    )
-    parser.add_argument(
-        "--jobs-sweep",
-        default="1,2,4",
-        metavar="LIST",
-        help="comma-separated jobs values for the recorded sharded-"
-        "product timing sweep (skipped when --jobs-check is 0)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="row-prefetcher chunk size recorded with the jobs sweep"
-        " (scheduling-only; results are identical for any value)",
-    )
-    parser.add_argument(
         "--require-dfa-parity",
         type=float,
         default=None,
@@ -428,113 +387,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cell["product_bfs"] = product_bfs_split(
                 factory, prop, args.rounds, dfa_split
             )
-            if args.jobs_check:
-                result_keys = (
-                    "holds",
-                    "tm_states",
-                    "spec_states",
-                    "product_states",
-                    "counterexample",
-                )
-                sharded = run_path(
-                    factory, prop, True, 1, jobs=args.jobs_check
-                )
-                rows_only = run_path(
-                    factory,
-                    prop,
-                    True,
-                    1,
-                    jobs=args.jobs_check,
-                    shard_product=False,
-                    chunk_size=args.chunk_size,
-                )
-                for variant, res in (
-                    ("sharded-product", sharded),
-                    ("row-sharding", rows_only),
-                ):
-                    for key in result_keys:
-                        if res[key] != comp[key]:
-                            failures.append(
-                                f"{name}/{prop_name}: jobs="
-                                f"{args.jobs_check} {variant} {key}"
-                                f" differs from serial"
-                                f" ({res[key]!r} vs {comp[key]!r})"
-                            )
-                cell["jobs"] = {
-                    "n": args.jobs_check,
-                    "sharded_product_s": sharded["cold_s"],
-                    "row_sharding_s": rows_only["cold_s"],
-                    "identical": all(
-                        sharded[k] == comp[k] and rows_only[k] == comp[k]
-                        for k in result_keys
-                    ),
-                }
-                # The recorded multicore sweep (ROADMAP item (b)):
-                # sharded-product and row-sharding timings per jobs
-                # value with the chosen prefetcher chunk size.  Each
-                # jobs>1 config runs TWO rounds with reuse_pool=True —
-                # the first pays the pool spawn (``*_s``), the second
-                # reuses the parked pool and its warm workers
-                # (``*_reused_s``), isolating the pool-reuse knob.  The
-                # dense kernel is disabled here so the sweep times the
-                # sharding machinery, not the array replay.  The j=1
-                # entry reuses the serial cold timing already recorded
-                # for this cell.  On a 1-core box these are correctness
-                # runs, not wins — flagged via the note.
-                sweep = []
-                for j in sorted(
-                    {
-                        int(x)
-                        for x in args.jobs_sweep.split(",")
-                        if x.strip()
-                    }
-                ):
-                    entry = {"jobs": j, "chunk_size": args.chunk_size}
-                    if j <= 1:
-                        entry["sharded_product_s"] = comp["cold_s"]
-                        entry["row_sharding_s"] = comp["cold_s"]
-                        entry["identical"] = True  # comp *is* serial
-                    else:
-                        sp = run_path(
-                            factory,
-                            prop,
-                            True,
-                            2,
-                            jobs=j,
-                            reuse_pool=True,
-                            dense_kernel=False,
-                        )
-                        ro = run_path(
-                            factory,
-                            prop,
-                            True,
-                            2,
-                            jobs=j,
-                            shard_product=False,
-                            chunk_size=args.chunk_size,
-                            reuse_pool=True,
-                            dense_kernel=False,
-                        )
-                        entry["sharded_product_s"] = sp["cold_s"]
-                        entry["sharded_product_reused_s"] = sp["best_s"]
-                        entry["row_sharding_s"] = ro["cold_s"]
-                        entry["row_sharding_reused_s"] = ro["best_s"]
-                        entry["identical"] = all(
-                            sp[k] == comp[k] and ro[k] == comp[k]
-                            for k in result_keys
-                        )
-                    if not entry["identical"]:
-                        failures.append(
-                            f"{name}/{prop_name}: jobs sweep j={j}"
-                            f" diverged from serial"
-                        )
-                    sweep.append(entry)
-                cell["jobs_sweep"] = sweep
-                if os.cpu_count() == 1:
-                    cell["jobs_sweep_note"] = (
-                        "cpu_count==1: sharded timings are correctness"
-                        " runs, not wins"
-                    )
             prof: Dict[str, float] = {}
             check_safety(
                 factory(), prop, lazy_spec=True, profile=prof
@@ -636,10 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             extras.append(
                 f"dfa int {split['dfa_int_bfs_s']:.4f}s vs stmt"
                 f" {split['dfa_statement_bfs_s']:.4f}s"
-            )
-        if "jobs" in c:
-            extras.append(
-                f"jobs{c['jobs']['n']} {c['jobs']['sharded_product_s']:.4f}s"
             )
         if "warm_backends" in c:
             wb = c["warm_backends"]

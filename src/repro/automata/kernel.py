@@ -33,13 +33,10 @@ stays byte-identical to the naive streamed path.
 The all-int endgame is :func:`product_oracle_packed` and its DFA-sided
 twin :func:`product_dfa_packed`: integer statement ids on both sides,
 single-machine-word pair keys, untraced traversal with a traced rerun on
-violation — and, given a :class:`PairSharder`, the product BFS *itself*
-runs level-synchronized across a process pool, hash-partitioned by
-``pair % jobs``, with a determinism argument (:func:`_sharded_pair_bfs`)
-that keeps every observable output byte-identical to serial.
+violation.
 
 On top of the packed products sits the **dense kernel**
-(:class:`DenseCSR`): the first serial untraced pass additionally interns
+(:class:`DenseCSR`): the first untraced pass additionally interns
 product pairs into dense ids ``0..P-1`` and records every successor list
 into flat CSR arrays (``array('q')`` offsets/targets).  Every later run
 of the same product — a repeated check, a benchmark round, a process
@@ -317,117 +314,6 @@ def _discover_row(
                 discovered.add(succ)
 
 
-#: Level hook for sharded runs: called with the left states of each BFS
-#: level before the level is processed, so an engine can batch-compute
-#: (e.g. across a process pool) the rows the level will demand.
-#: Prefetching is an optimization only — rows are memoized either way —
-#: so a ``None`` prefetch is byte-identical to any other.
-PrefetchFn = Callable[[List[int]], None]
-
-
-class PairSharder:
-    """Backend protocol of the *sharded product BFS* (duck-typed).
-
-    Where :data:`PrefetchFn` only batch-computes left rows, a pair
-    sharder executes whole product levels on a worker pool: the parent
-    partitions each pair frontier by ``pair % jobs``, workers expand
-    their shard (left row + right step, both against worker-local
-    engines rebuilt from the algorithm seed) and return the successor
-    pairs, and the parent merges them into the seen-set between level
-    barriers.  Pairs cross process boundaries in a *stable* encoding
-    ``right_key << span_bits | stable_node`` — the right component is
-    the canonical packed spec state (process-independent by
-    construction), the left the codec-bits node encoding of
-    :meth:`repro.tm.compiled.CompiledTM.stable_of_node`.
-
-    The concrete implementation lives in :mod:`repro.tm.compiled`
-    (``Sharder.pair_sharder``); the kernel only needs:
-
-    * ``jobs`` — the shard count;
-    * ``stable_pairs(packed_nodes)`` — initial pairs (right key 0) in
-      stable encoding, in input order;
-    * ``expand_pairs(shards)`` — one ``(violated, successor_pairs)``
-      result per shard, aligned with the input order; the successor
-      container is any int sequence (the concrete backend ships flat
-      ``array('q')`` slices where the pairs fit a machine word).
-    """
-
-    jobs: int
-
-    def stable_pairs(self, packed_nodes: List[int]) -> List[int]:
-        raise NotImplementedError
-
-    def expand_pairs(
-        self, shards: List[List[int]]
-    ) -> List[Tuple[bool, Sequence[int]]]:
-        raise NotImplementedError
-
-
-def _sharded_pair_bfs(
-    sharder: PairSharder, init_stable: List[int], span_bits: int
-):
-    """Level-synchronized, hash-partitioned product BFS over stable pairs.
-
-    Returns ``(violated, pairs, states_seen, spec_states_seen)``.  The
-    determinism argument: a BFS level is a pure function of the previous
-    level and the seen-set (``level_{i+1} = succ(level_i) \\ seen``), so
-    the level *sets* — and with them the final seen-set — are invariant
-    under how a level is partitioned across shards and in which order a
-    shard's successors are merged back.  Every count reported by the
-    holding case is a function of the seen-set alone:
-
-    * ``pairs`` is its size;
-    * ``states_seen`` is the number of distinct left components — in the
-      holding case every successor of every expanded row becomes a pair,
-      so this equals the serial ``discovered`` set (initial states plus
-      all row successors of expanded states);
-    * ``spec_states_seen`` is the number of distinct right components,
-      exactly the serial parent-map recovery.
-
-    Violations carry no counts: the caller reruns the serial *traced*
-    twin, which is byte-identical to the serial path by construction
-    (it *is* the serial path).  ``max_states`` guards are likewise left
-    to the serial path — callers must not hand a sharder over when a
-    bound is set, so the guard's message stays byte-identical.
-
-    The two component counts are tracked *incrementally* as pairs enter
-    the seen-set (a full-set comprehension at the end would re-walk —
-    and briefly duplicate — the whole seen-set, which at millions of
-    pairs is real time and real memory).  Workers ship their successor
-    slices back as flat ``array('q')`` chunks where the stable pairs fit
-    a machine word (see :func:`repro.tm.compiled._worker_expand_pairs`);
-    the merge below is agnostic to the container.
-    """
-    jobs = sharder.jobs
-    span_mask = (1 << span_bits) - 1
-    frontier = list(dict.fromkeys(init_stable))
-    seen = set(frontier)
-    add = seen.add
-    left_seen = {p & span_mask for p in frontier}
-    right_seen = {p >> span_bits for p in frontier}
-    left_add = left_seen.add
-    right_add = right_seen.add
-    while frontier:
-        shards: List[List[int]] = [[] for _ in range(jobs)]
-        for p in frontier:
-            shards[p % jobs].append(p)
-        nxt: List[int] = []
-        push = nxt.append
-        # Shard results are merged in shard-index order: deterministic,
-        # and — per the argument above — any order yields the same sets.
-        for violated, succs in sharder.expand_pairs(shards):
-            if violated:
-                return True, 0, 0, 0
-            for s in succs:
-                if s not in seen:
-                    add(s)
-                    push(s)
-                    left_add(s & span_mask)
-                    right_add(s >> span_bits)
-        frontier = nxt
-    return False, len(seen), len(left_seen), len(right_seen)
-
-
 def _discover_row_ids(
     row: Tuple,
     discovered: set,
@@ -483,7 +369,7 @@ class DenseCSR:
     only for *distinct* counts and the initial-pair match, so any
     per-run bijective relabeling of either side is admissible.
 
-    A CSR is built as a by-product of the first serial untraced pass
+    A CSR is built as a by-product of the first untraced pass
     (:func:`_product_oracle_packed_dense` / :func:`_product_dfa_packed_dense`)
     and replayed by :meth:`run`: a level-synchronous BFS over the arrays
     with a bitset seen-set — "gather successors → mask out seen → extend
@@ -595,11 +481,16 @@ class DenseCSR:
         """Replay the product BFS over the recorded arrays.
 
         Returns ``(violated, pairs, states_seen, spec_states_seen)``
-        with the holding-case counts equal to the set-based path's (the
-        :func:`_sharded_pair_bfs` seen-set argument applies verbatim:
-        all three are functions of the reachable pair set alone).  A
-        violated result carries no counts — the caller reruns the serial
-        traced twin.
+        with the holding-case counts equal to the set-based path's.  A
+        BFS level is a pure function of the previous level and the
+        seen-set, so the final seen-set is the reachable pair set however
+        each level is ordered, and all three counts are functions of that
+        set alone: ``pairs`` is its size, ``states_seen`` the number of
+        distinct left components (in the holding case every successor of
+        every expanded row becomes a pair, so this equals the set path's
+        ``discovered`` set) and ``spec_states_seen`` the number of
+        distinct right components.  A violated result carries no counts —
+        the caller reruns the serial traced twin.
         """
         if _np is not None:
             return self._run_numpy(_np)
@@ -851,7 +742,6 @@ def product_dfa_direct(
     dfa: DFA,
     *,
     max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
 ):
     """Product reachability over *pre-encoded* left states.
 
@@ -894,38 +784,31 @@ def product_dfa_direct(
     queue = deque(start)
     pop = queue.popleft
     push = queue.append
-    # A FIFO BFS holds exactly one depth level whenever the previous
-    # level has fully drained, so draining ``len(queue)`` pairs per
-    # outer iteration visits pairs in the identical order while exposing
-    # each level to ``prefetch`` first.
     while queue:
-        if prefetch is not None:
-            prefetch([p // nb for p in queue])
-        for _ in range(len(queue)):
-            pair = pop()
-            nq, dq = divmod(pair, nb)
-            row = row_fn(nq)
-            if nq not in expanded:
-                expanded.add(nq)
-                _discover_row(row, discovered, max_states)
-            brow = b_delta[dq]
-            for symbol, succs in row:
-                if symbol is None:
-                    for succ in succs:
-                        nxt = succ * nb + dq
-                        if nxt not in parent:
-                            parent[nxt] = (pair, None)
-                            push(nxt)
-                    continue
-                dsucc = brow.get(symbol)
-                if dsucc is None:
-                    word = reconstruct(parent, pair) + (symbol,)
-                    return False, word, len(parent), len(discovered)
+        pair = pop()
+        nq, dq = divmod(pair, nb)
+        row = row_fn(nq)
+        if nq not in expanded:
+            expanded.add(nq)
+            _discover_row(row, discovered, max_states)
+        brow = b_delta[dq]
+        for symbol, succs in row:
+            if symbol is None:
                 for succ in succs:
-                    nxt = succ * nb + dsucc
+                    nxt = succ * nb + dq
                     if nxt not in parent:
-                        parent[nxt] = (pair, symbol)
+                        parent[nxt] = (pair, None)
                         push(nxt)
+                continue
+            dsucc = brow.get(symbol)
+            if dsucc is None:
+                word = reconstruct(parent, pair) + (symbol,)
+                return False, word, len(parent), len(discovered)
+            for succ in succs:
+                nxt = succ * nb + dsucc
+                if nxt not in parent:
+                    parent[nxt] = (pair, symbol)
+                    push(nxt)
     return True, None, len(parent), len(discovered)
 
 
@@ -936,7 +819,6 @@ def product_oracle_direct(
     spec_step: "DetStepFn",
     *,
     max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
 ):
     """:func:`product_dfa_direct` against a deterministic oracle.
 
@@ -969,50 +851,47 @@ def product_oracle_direct(
     pop = queue.popleft
     push = queue.append
     while queue:
-        if prefetch is not None:  # see the level note in product_dfa_direct
-            prefetch([p[0] for p in queue])
-        for _ in range(len(queue)):
-            pair = pop()
-            nq, dq = pair
-            row = row_fn(nq)
-            if nq not in expanded:
-                expanded.add(nq)
-                _discover_row(row, discovered, max_states)
-            brow = b_rows[dq]
-            for symbol, succs in row:
-                if symbol is None:
-                    for succ in succs:
-                        nxt = (succ, dq)
-                        if nxt not in parent:
-                            parent[nxt] = (pair, None)
-                            push(nxt)
-                    continue
-                dsucc = brow.get(symbol)
-                if dsucc is None:  # not yet queried: ask the oracle once
-                    target = spec_step(b_states[dq], symbol)
-                    if target is None:
-                        dsucc = brow[symbol] = _SINK
-                    else:
-                        didx = b_index.get(target)
-                        if didx is None:
-                            didx = b_index[target] = len(b_states)
-                            b_states.append(target)
-                            b_rows.append({})
-                        dsucc = brow[symbol] = didx
-                if dsucc is _SINK:
-                    word = reconstruct(parent, pair) + (symbol,)
-                    return (
-                        False,
-                        word,
-                        len(parent),
-                        len(discovered),
-                        len(b_index),
-                    )
+        pair = pop()
+        nq, dq = pair
+        row = row_fn(nq)
+        if nq not in expanded:
+            expanded.add(nq)
+            _discover_row(row, discovered, max_states)
+        brow = b_rows[dq]
+        for symbol, succs in row:
+            if symbol is None:
                 for succ in succs:
-                    nxt = (succ, dsucc)
+                    nxt = (succ, dq)
                     if nxt not in parent:
-                        parent[nxt] = (pair, symbol)
+                        parent[nxt] = (pair, None)
                         push(nxt)
+                continue
+            dsucc = brow.get(symbol)
+            if dsucc is None:  # not yet queried: ask the oracle once
+                target = spec_step(b_states[dq], symbol)
+                if target is None:
+                    dsucc = brow[symbol] = _SINK
+                else:
+                    didx = b_index.get(target)
+                    if didx is None:
+                        didx = b_index[target] = len(b_states)
+                        b_states.append(target)
+                        b_rows.append({})
+                    dsucc = brow[symbol] = didx
+            if dsucc is _SINK:
+                word = reconstruct(parent, pair) + (symbol,)
+                return (
+                    False,
+                    word,
+                    len(parent),
+                    len(discovered),
+                    len(b_index),
+                )
+            for succ in succs:
+                nxt = (succ, dsucc)
+                if nxt not in parent:
+                    parent[nxt] = (pair, symbol)
+                    push(nxt)
     return True, None, len(parent), len(discovered), len(b_index)
 
 
@@ -1024,8 +903,6 @@ def product_oracle_packed(
     node_span: int,
     row_map: Optional[Dict[int, Tuple]] = None,
     max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
-    pair_sharder: Optional[PairSharder] = None,
     dense: Optional[DenseCSR] = None,
     profile: Optional[Dict[str, float]] = None,
 ):
@@ -1059,23 +936,12 @@ def product_oracle_packed(
     the other product functions (see the NOTE in
     :func:`product_dfa_direct`).
 
-    With a ``pair_sharder`` (and no ``max_states`` bound — bounded runs
-    stay serial so the guard's raise point is byte-identical), the BFS
-    itself runs sharded across the pool (see :func:`_sharded_pair_bfs`);
-    a violating sharded run falls back to the serial traced twin, so
-    verdicts, counterexamples and every count are byte-identical to a
-    serial run.
-
-    A ``dense`` :class:`DenseCSR` (again only without a ``max_states``
-    bound) engages the dense kernel: an already-recorded table replays
-    as the array-only bitset BFS (beating both the serial set path and —
-    on warm products — the sharded one, so it takes precedence over
-    ``pair_sharder``); an empty table is recorded as a by-product of a
-    *serial* first pass — sharded runs of either flavour (a
-    ``pair_sharder``, or a ``prefetch`` hook feeding a row pool) keep
-    their own machinery and record nothing, so a pool is never left
-    idle behind the recorder.  ``profile``, when given, accumulates the
-    traced rerun's time under ``"trace_rerun_s"``.
+    A ``dense`` :class:`DenseCSR` (only without a ``max_states`` bound,
+    so the guard's raise point stays byte-identical) engages the dense
+    kernel: an already-recorded table replays as the array-only bitset
+    BFS; an empty table is recorded as a by-product of the first pass.
+    ``profile``, when given, accumulates the traced rerun's time under
+    ``"trace_rerun_s"``.
     """
     init = list(dict.fromkeys(initial))
     if max_states is not None and len(init) > max_states:
@@ -1108,27 +974,16 @@ def product_oracle_packed(
             if not violated:
                 return True, None, pairs, states_seen, spec_seen
             return rerun_traced()
-        if pair_sharder is None and prefetch is None:
-            res = _product_oracle_packed_dense(
-                row_fn,
-                init,
-                oracle,
-                node_span=node_span,
-                row_map=row_map,
-                dense=dense,
-            )
-            if res is not None:
-                return res
-            return rerun_traced()
-    if pair_sharder is not None and max_states is None:
-        assert oracle.initial_id == 0
-        assert node_span & (node_span - 1) == 0, "node_span must be 2**b"
-        bits = node_span.bit_length() - 1
-        violated, pairs, states_seen, spec_seen = _sharded_pair_bfs(
-            pair_sharder, pair_sharder.stable_pairs(init), bits
+        res = _product_oracle_packed_dense(
+            row_fn,
+            init,
+            oracle,
+            node_span=node_span,
+            row_map=row_map,
+            dense=dense,
         )
-        if not violated:
-            return True, None, pairs, states_seen, spec_seen
+        if res is not None:
+            return res
         return rerun_traced()
     discovered = set(init)
     expanded = set()
@@ -1156,15 +1011,7 @@ def product_oracle_packed(
     add = seen.add
     append = order.append
     i = 0
-    if prefetch is not None:
-        prefetch([p & span_mask for p in order])
-        boundary = len(order)
-    else:
-        boundary = -1
     while i < len(order):
-        if i == boundary:  # see the level note in product_dfa_direct
-            prefetch([p & span_mask for p in order[i:]])
-            boundary = len(order)
         pair = order[i]
         i += 1
         nq = pair & span_mask
@@ -1398,8 +1245,6 @@ def product_dfa_packed(
     node_span: int,
     row_map: Optional[Dict[int, Tuple]] = None,
     max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
-    pair_sharder: Optional[PairSharder] = None,
     dense: Optional[DenseCSR] = None,
     profile: Optional[Dict[str, float]] = None,
 ):
@@ -1414,14 +1259,8 @@ def product_dfa_packed(
     Statement is hashed anywhere on the hot path.  Pairs encode as
     ``dfa_state << span_bits | packed_node``; the traversal is untraced
     with a traced rerun on violation, exactly as in
-    :func:`product_oracle_packed` (whose ``initial`` semantics, sharding
-    behaviour and byte-identity NOTE all apply).  CAUTION: a
-    ``pair_sharder``'s workers re-derive the specification from its
-    ``(n, k, prop)`` identity, so the sharded path is only sound when
-    ``spec_rows`` is the *canonical* table for that identity — the
-    contract ``check_safety`` enforces by keeping caller-provided specs
-    on the unsharded Statement path; never pass a sharder together with
-    hand-built rows.
+    :func:`product_oracle_packed` (whose ``initial`` semantics and
+    byte-identity NOTE apply).
 
     Returns ``(holds, counterexample_sym_ids, discovered_pairs,
     states_seen)`` — the DFA side is fully materialized, so no
@@ -1460,24 +1299,16 @@ def product_dfa_packed(
             if not violated:
                 return True, None, pairs, states_seen
             return rerun_traced()
-        if pair_sharder is None and prefetch is None:
-            res = _product_dfa_packed_dense(
-                row_fn,
-                init,
-                spec_rows,
-                node_span=node_span,
-                row_map=row_map,
-                dense=dense,
-            )
-            if res is not None:
-                return res
-            return rerun_traced()
-    if pair_sharder is not None and max_states is None:
-        violated, pairs, states_seen, _spec_seen = _sharded_pair_bfs(
-            pair_sharder, pair_sharder.stable_pairs(init), span_bits
+        res = _product_dfa_packed_dense(
+            row_fn,
+            init,
+            spec_rows,
+            node_span=node_span,
+            row_map=row_map,
+            dense=dense,
         )
-        if not violated:
-            return True, None, pairs, states_seen
+        if res is not None:
+            return res
         return rerun_traced()
     discovered = set(init)
     expanded = set()
@@ -1489,15 +1320,7 @@ def product_dfa_packed(
     add = seen.add
     append = order.append
     i = 0
-    if prefetch is not None:
-        prefetch([p & span_mask for p in order])
-        boundary = len(order)
-    else:
-        boundary = -1
     while i < len(order):
-        if i == boundary:  # see the level note in product_dfa_direct
-            prefetch([p & span_mask for p in order[i:]])
-            boundary = len(order)
         pair = order[i]
         i += 1
         nq = pair & span_mask

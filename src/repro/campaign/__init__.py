@@ -4,7 +4,7 @@ A *campaign* is a validated matrix of safety checks — TM × property ×
 (n, k), with per-cell overrides — executed one cell at a time under a
 supervisor (:mod:`.supervisor`) that isolates each check in its own
 subprocess with a wall-clock timeout, an RSS cap, and bounded
-retry-with-backoff that degrades sharded→serial and warm→cold before
+retry-with-backoff that degrades warm→cold before
 recording a still-failing cell as ``error`` and moving on.  Every
 outcome is appended to an atomic JSONL journal (:mod:`.journal`) so an
 interrupted campaign resumes exactly where it stopped, and the final

@@ -51,9 +51,6 @@ POLICY_DEFAULTS: Dict[str, object] = {
     "backoff_s": 0.1,
     "backoff_cap_s": 30.0,
     "memory_mb": None,
-    "jobs": 1,
-    "shard_product": True,
-    "chunk_size": None,
     "cache_dir": None,
     "cache_backend": "disk",
     "lazy_spec": False,
@@ -116,16 +113,13 @@ def _check_policy(policy: Dict[str, object], where: str) -> None:
             and value > 0,
             f"{where}: timeout_s must be a positive number",
         )
-    for key in ("retries", "jobs"):
-        if key in policy and policy[key] is not None:
-            value = policy[key]
-            _require(
-                isinstance(value, int) and not isinstance(value, bool)
-                and value >= (0 if key == "retries" else 1),
-                f"{where}: {key} must be a non-negative integer"
-                if key == "retries"
-                else f"{where}: {key} must be a positive integer",
-            )
+    if "retries" in policy and policy["retries"] is not None:
+        value = policy["retries"]
+        _require(
+            isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0,
+            f"{where}: retries must be a non-negative integer",
+        )
     if "backoff_s" in policy:
         value = policy["backoff_s"]
         _require(
@@ -140,7 +134,7 @@ def _check_policy(policy: Dict[str, object], where: str) -> None:
             and value > 0,
             f"{where}: backoff_cap_s must be a positive number",
         )
-    for key in ("memory_mb", "max_states", "chunk_size"):
+    for key in ("memory_mb", "max_states"):
         if key in policy and policy[key] is not None:
             value = policy[key]
             _require(
@@ -156,8 +150,7 @@ def _check_policy(policy: Dict[str, object], where: str) -> None:
             f"{where}: retry_seed must be a non-negative integer or null",
         )
     for key in (
-        "shard_product", "lazy_spec", "compiled", "spec_compiled",
-        "profile",
+        "lazy_spec", "compiled", "spec_compiled", "profile",
     ):
         if key in policy:
             _require(

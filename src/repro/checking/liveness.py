@@ -130,14 +130,13 @@ def check_obstruction_freedom(
     *,
     graph: Optional[LivenessGraph] = None,
     compiled: bool = True,
-    jobs: int = 1,
     cache_dir: CacheLike = None,
 ) -> LivenessResult:
     """Does every loop of a single thread without commits avoid aborts?"""
     t0 = time.perf_counter()
     if graph is None:
         graph = build_liveness_graph(
-            tm, compiled=compiled, jobs=jobs, cache_dir=cache_dir
+            tm, compiled=compiled, cache_dir=cache_dir
         )
     for t in tm.threads():
         edges = [
@@ -169,14 +168,13 @@ def check_livelock_freedom(
     *,
     graph: Optional[LivenessGraph] = None,
     compiled: bool = True,
-    jobs: int = 1,
     cache_dir: CacheLike = None,
 ) -> LivenessResult:
     """Is there no commit-free loop in which every participant aborts?"""
     t0 = time.perf_counter()
     if graph is None:
         graph = build_liveness_graph(
-            tm, compiled=compiled, jobs=jobs, cache_dir=cache_dir
+            tm, compiled=compiled, cache_dir=cache_dir
         )
     threads = list(tm.threads())
     for size in range(1, len(threads) + 1):
@@ -210,7 +208,6 @@ def check_wait_freedom(
     *,
     graph: Optional[LivenessGraph] = None,
     compiled: bool = True,
-    jobs: int = 1,
     cache_dir: CacheLike = None,
 ) -> LivenessResult:
     """Is there no reachable loop containing an abort at all?
@@ -224,7 +221,7 @@ def check_wait_freedom(
     t0 = time.perf_counter()
     if graph is None:
         graph = build_liveness_graph(
-            tm, compiled=compiled, jobs=jobs, cache_dir=cache_dir
+            tm, compiled=compiled, cache_dir=cache_dir
         )
     nodes = {e[0] for e in graph.edges} | {e[2] for e in graph.edges}
     for scc in tarjan_sccs(nodes, graph.edges):
@@ -258,15 +255,13 @@ def check_liveness_all(
     tm: TMAlgorithm,
     *,
     compiled: bool = True,
-    jobs: int = 1,
     cache_dir: CacheLike = None,
 ) -> Tuple[LivenessResult, ...]:
     """Obstruction, livelock and wait freedom on one shared graph
-    (``jobs`` shards the graph construction, ``cache_dir`` warm-starts
-    the engine's node rows; see
+    (``cache_dir`` warm-starts the engine's node rows; see
     :func:`repro.tm.explore.build_liveness_graph`)."""
     graph = build_liveness_graph(
-        tm, compiled=compiled, jobs=jobs, cache_dir=cache_dir
+        tm, compiled=compiled, cache_dir=cache_dir
     )
     return (
         check_obstruction_freedom(tm, graph=graph),

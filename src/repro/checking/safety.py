@@ -49,7 +49,7 @@ from ..spec.compiled import cached_spec_dfa, cached_spec_oracle
 from ..spec.common import OP, SS, SafetyProperty
 from ..spec.det import det_step, initial_state as det_initial_state
 from ..tm.algorithm import TMAlgorithm
-from ..tm.compiled import PoolCrashError, compile_tm
+from ..tm.compiled import compile_tm
 from ..tm.explore import build_safety_nfa, initial_node, safety_step
 from .reporting import SafetyResult
 
@@ -118,72 +118,23 @@ def _dense_for(engine, side, prop, dense_kernel, cache_dir, max_states):
     return csr if csr is not None and csr.built else None
 
 
-def _run_sharded_product(run, shard, prop, shard_product):
-    """Dispatch one packed-product BFS, degrading to serial on a dead
-    pool.
-
-    ``run(prefetch, pair_sharder)`` performs the BFS with the given
-    sharding hooks.  If the pool dies beyond revival mid-BFS
-    (:class:`~repro.tm.compiled.PoolCrashError` out of the pair
-    sharder's level dispatch), the product is simply rerun with both
-    hooks disabled: a failed ``map`` merges nothing into the parent, and
-    sharding is optimization-only, so the serial rerun is byte-identical
-    to what the sharded run would have produced (the rerun reuses the
-    rows already memoized — warm memo tables never change results).
-    """
-    pair_sharder = (
-        shard.pair_sharder(prop)
-        if shard is not None and shard_product
-        else None
-    )
-    prefetch = None if shard is None else shard.prefetch_safety
-    try:
-        return run(prefetch, pair_sharder)
-    except PoolCrashError:
-        return run(None, None)
-
-
 @contextmanager
-def _warm_sharded(
-    engine,
-    oracle,
-    cache_dir,
-    jobs: int,
-    *,
-    dense=None,
-    chunk_size: Optional[int] = None,
-    reuse_pool: bool = False,
-):
+def _warm_cache(engine, oracle, cache_dir, *, dense=None):
     """Shared scaffolding of the compiled branches: warm-load the
-    engine(s) from ``cache_dir``, open the sharding pool, yield the
-    :class:`~repro.tm.compiled.Sharder` (``None`` when serial), spill on
-    exit.  ``oracle`` is any second engine with the ``load_warm``/
-    ``save_warm`` contract (the compiled spec oracle or the int-rows
-    spec DFA), or ``None``; ``dense`` likewise covers the dense-kernel
-    CSR table (:class:`repro.automata.kernel.DenseCSR`), whose restored
-    payload lets the product run array-only, without ever touching the
-    row memos.  The cache dir is handed to the pool too so workers
-    warm-start their own engines; note a product-sharded run computes
-    its rows *in* the workers, whose tables die with the pool — it reads
-    the row cache but never populates it.  ``chunk_size``/``reuse_pool``
-    pass through to :meth:`repro.tm.compiled.CompiledTM.sharded`.
-
-    When the dense table is already recorded (in-process or just
-    restored), the product will replay as the array-only BFS and never
-    dispatch to a pool — so none is opened: a warm dense run must not
-    pay ``jobs`` process spawns for nothing."""
+    engine(s) from ``cache_dir``, run the body, spill on exit.
+    ``oracle`` is any second engine with the ``load_warm``/``save_warm``
+    contract (the compiled spec oracle or the int-rows spec DFA), or
+    ``None``; ``dense`` likewise covers the dense-kernel CSR table
+    (:class:`repro.automata.kernel.DenseCSR`), whose restored payload
+    lets the product run array-only, without ever touching the row
+    memos."""
     if cache_dir is not None:
         engine.load_warm(cache_dir)
         if oracle is not None:
             oracle.load_warm(cache_dir)
         if dense is not None:
             dense.load_warm(cache_dir)
-    if dense is not None and dense.built:
-        jobs = 1
-    with engine.sharded(
-        jobs, cache_dir, chunk_size=chunk_size, reuse_pool=reuse_pool
-    ) as shard:
-        yield shard
+    yield
     if cache_dir is not None:
         engine.save_warm(cache_dir)
         if oracle is not None:
@@ -203,10 +154,6 @@ def check_safety(
     compiled: bool = True,
     spec_compiled: bool = True,
     dense_kernel: Optional[bool] = None,
-    jobs: int = 1,
-    shard_product: bool = True,
-    chunk_size: Optional[int] = None,
-    reuse_pool: bool = False,
     cache_dir: "CacheLike" = None,
     max_states: Optional[int] = None,
     profile: Optional[Dict[str, float]] = None,
@@ -247,24 +194,9 @@ def check_safety(
     provided ``spec`` always takes the Statement path (arbitrary DFAs
     have no canonical id table).
 
-    ``jobs > 1`` shards work across a ``multiprocessing`` pool.  By
-    default (``shard_product=True``) the **product BFS itself** is
-    sharded on the all-int paths: pair frontiers are hash-partitioned by
-    ``pair % jobs``, workers rebuild both engines from the spawn seed
-    and exchange cross-shard successors between level barriers, and the
-    parent merges seen-sets deterministically (see
-    :func:`repro.automata.kernel._sharded_pair_bfs` for the determinism
-    argument).  ``shard_product=False`` — and every configuration the
-    pair sharder cannot serve: ``max_states`` bounds, rich-oracle paths,
-    caller-provided specs, codec-less TMs — falls back to sharding only
-    the computation of new TM transition rows at BFS level boundaries
-    (see :meth:`repro.tm.compiled.CompiledTM.expand`).  Either way
-    verdicts, counterexamples and all counts are byte-identical to
-    ``jobs=1``.
-
     On the all-int paths the **dense kernel** records the product's
     adjacency into a flat CSR table over dense pair ids on the first
-    serial untraced pass (:class:`repro.automata.kernel.DenseCSR`, kept
+    untraced pass (:class:`repro.automata.kernel.DenseCSR`, kept
     on the engine and — with ``cache_dir`` — persisted), and every
     later run of the same product replays as an array-only bitset BFS
     that never touches the row memos.  ``dense_kernel`` is tri-state:
@@ -278,11 +210,6 @@ def check_safety(
     Bounded (``max_states``), codec-less and caller-spec configurations
     ignore the flag and stay on the set-based path.
 
-    ``chunk_size`` fixes the row-prefetcher's per-task batch and
-    ``reuse_pool=True`` parks the worker pool on the engine across
-    checks (call ``compile_tm(tm).close_pools()`` when done) — both are
-    scheduling-only knobs with byte-identical results.
-
     ``cache_dir`` enables the warm-start cache (:mod:`repro.cache`): a
     directory string selects the pickle-on-disk backend, and any
     :class:`repro.cache.CacheBackend` instance (e.g. the zero-copy mmap
@@ -290,11 +217,7 @@ def check_safety(
     tables and memoized rows of both compiled engines — and the dense
     kernel's CSR tables — are restored before the check and spilled
     after, so repeated process invocations skip re-compilation
-    entirely.  With ``jobs > 1`` the cache dir also
-    warm-starts the *worker* engines; note that a product-sharded run
-    computes new rows in the workers (whose tables die with the pool),
-    so it reads the row cache but never grows it — populate the cache
-    with a serial or ``shard_product=False`` run first.
+    entirely.
 
     ``profile``, when given an (empty) dict, is filled with a per-phase
     wall-time split: ``engine_build_s`` (compilation, warm loads, spec
@@ -332,15 +255,7 @@ def check_safety(
             dense = _dense_for(
                 engine, "oracle", prop, dense_kernel, cache_dir, max_states
             )
-            with _warm_sharded(
-                engine,
-                oracle,
-                cache_dir,
-                jobs,
-                dense=dense,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
+            with _warm_cache(engine, oracle, cache_dir, dense=dense):
                 # The memo dict must be picked up *after* the warm load
                 # above — load_warm rebinds it, and a stale reference
                 # would miss every restored row.
@@ -352,22 +267,15 @@ def check_safety(
                     profile["engine_build_s"] = time.perf_counter() - t0
                     t_product = time.perf_counter()
                 holds, ce_ids, discovered, tm_states, spec_states = (
-                    _run_sharded_product(
-                        lambda prefetch, pair_sharder: product_oracle_packed(
-                            row_fn,
-                            [engine.initial_node_packed()],
-                            oracle,
-                            node_span=engine.node_span,
-                            row_map=row_map,
-                            max_states=max_states,
-                            prefetch=prefetch,
-                            pair_sharder=pair_sharder,
-                            dense=dense,
-                            profile=profile,
-                        ),
-                        shard,
-                        prop,
-                        shard_product,
+                    product_oracle_packed(
+                        row_fn,
+                        [engine.initial_node_packed()],
+                        oracle,
+                        node_span=engine.node_span,
+                        row_map=row_map,
+                        max_states=max_states,
+                        dense=dense,
+                        profile=profile,
                     )
                 )
                 if profile is not None:
@@ -379,14 +287,7 @@ def check_safety(
             )
         elif compiled:
             engine = compile_tm(tm)
-            with _warm_sharded(
-                engine,
-                None,
-                cache_dir,
-                jobs,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
+            with _warm_cache(engine, None, cache_dir):
                 holds, counterexample, discovered, tm_states, spec_states = (
                     product_oracle_direct(
                         engine.safety_row,
@@ -394,9 +295,6 @@ def check_safety(
                         det_initial_state(tm.n),
                         lambda state, stmt: det_step(state, stmt, prop),
                         max_states=max_states,
-                        prefetch=(
-                            None if shard is None else shard.prefetch_safety
-                        ),
                     )
                 )
         else:
@@ -434,15 +332,7 @@ def check_safety(
             dense = _dense_for(
                 engine, "dfa", prop, dense_kernel, cache_dir, max_states
             )
-            with _warm_sharded(
-                engine,
-                cdfa,
-                cache_dir,
-                jobs,
-                dense=dense,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
+            with _warm_cache(engine, cdfa, cache_dir, dense=dense):
                 cdfa.ensure()
                 # Post-warm-load pickup; see the oracle branch above.
                 row_fn = engine.safety_row_ids
@@ -452,22 +342,15 @@ def check_safety(
                     row_map = None
                     profile["engine_build_s"] = time.perf_counter() - t0
                     t_product = time.perf_counter()
-                holds, ce_ids, discovered, tm_states = _run_sharded_product(
-                    lambda prefetch, pair_sharder: product_dfa_packed(
-                        row_fn,
-                        [engine.initial_node_packed()],
-                        cdfa.rows,
-                        node_span=engine.node_span,
-                        row_map=row_map,
-                        max_states=max_states,
-                        prefetch=prefetch,
-                        pair_sharder=pair_sharder,
-                        dense=dense,
-                        profile=profile,
-                    ),
-                    shard,
-                    prop,
-                    shard_product,
+                holds, ce_ids, discovered, tm_states = product_dfa_packed(
+                    row_fn,
+                    [engine.initial_node_packed()],
+                    cdfa.rows,
+                    node_span=engine.node_span,
+                    row_map=row_map,
+                    max_states=max_states,
+                    dense=dense,
+                    profile=profile,
                 )
                 if profile is not None:
                     _close_profile(profile, t_product)
@@ -484,23 +367,13 @@ def check_safety(
             )
         elif compiled:
             engine = compile_tm(tm)
-            with _warm_sharded(
-                engine,
-                None,
-                cache_dir,
-                jobs,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
+            with _warm_cache(engine, None, cache_dir):
                 holds, counterexample, discovered, tm_states = (
                     product_dfa_direct(
                         engine.safety_row,
                         [engine.initial_node_packed()],
                         spec,
                         max_states=max_states,
-                        prefetch=(
-                            None if shard is None else shard.prefetch_safety
-                        ),
                     )
                 )
             result = InclusionResult(

@@ -203,9 +203,6 @@ def cmd_safety(args: argparse.Namespace) -> int:
                 compiled=args.compiled,
                 spec_compiled=args.spec_compiled,
                 dense_kernel=args.dense_kernel,
-                jobs=args.jobs,
-                shard_product=args.shard_product,
-                chunk_size=args.chunk_size,
                 cache_dir=cache_dir,
                 profile=prof,
             )
@@ -245,7 +242,7 @@ def cmd_liveness(args: argparse.Namespace) -> int:
     for name in names:
         tm = _make_tm(name, n, k, args.manager)
         graph = build_liveness_graph(
-            tm, compiled=args.compiled, jobs=args.jobs, cache_dir=cache_dir
+            tm, compiled=args.compiled, cache_dir=cache_dir
         )
         cells = [tm.name, str(len(graph.nodes))]
         for check in (
@@ -524,7 +521,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ("retries", args.retries),
         ("backoff_s", args.backoff_s),
         ("memory_mb", args.memory_mb),
-        ("jobs", args.serve_jobs),
     ):
         if value is not None:
             defaults[key] = value
@@ -650,25 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         " rich det_step oracle instead of the compiled packed-state"
         " spec oracle (the differential reference path)",
     )
-    p_safety.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="shard the product BFS itself (level-synchronized,"
-        " hash-partitioned pair frontiers) across this many worker"
-        " processes on the all-int paths, and TM transition-row"
-        " computation elsewhere (verdicts are byte-identical to"
-        " --jobs 1)",
-    )
-    p_safety.add_argument(
-        "--no-shard-product",
-        dest="shard_product",
-        action="store_false",
-        help="with --jobs N, shard only TM transition-row computation"
-        " instead of the product BFS itself (the PR 3 behaviour; a"
-        " differential reference for the sharded product)",
-    )
     dense_mode = p_safety.add_mutually_exclusive_group()
     dense_mode.add_argument(
         "--dense-kernel",
@@ -686,23 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the dense array-backed BFS kernel (CSR successor"
         " tables + bitset seen-sets) and keep the set-based pair loop"
         " (the differential reference path)",
-    )
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"must be a positive integer (got {value})"
-            )
-        return value
-
-    p_safety.add_argument(
-        "--chunk-size",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="with --jobs, fix the row-prefetcher's per-task batch to N"
-        " nodes (default: one even chunk per worker; scheduling-only,"
-        " results are identical)",
     )
     p_safety.add_argument(
         "--profile",
@@ -741,14 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="build the liveness graph with the naive explorer instead"
         " of the compiled packed-state engine",
-    )
-    p_live.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="shard liveness-graph construction across this many worker"
-        " processes (the graph is identical to --jobs 1)",
     )
     p_live.add_argument(
         "--cache-dir",
@@ -941,14 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         help="default per-request RSS cap",
-    )
-    server_group.add_argument(
-        "--jobs",
-        dest="serve_jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="default sharding for requests that don't set jobs",
     )
     server_group.add_argument(
         "--quiet",

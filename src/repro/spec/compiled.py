@@ -386,9 +386,8 @@ class CompiledSpecOracle:
         return succ
 
     def intern_packed(self, packed: int) -> int:
-        """The dense id of a packed state handed in from outside — e.g.
-        a product pair shipped to a worker process by the sharded product
-        BFS, whose stable spec component *is* the packed state."""
+        """The dense id of a packed state, interning it on first sight
+        (packed states are process-stable, dense ids are not)."""
         sid = self._ids.get(packed)
         if sid is None:
             sid = self._ids[packed] = len(self.states)

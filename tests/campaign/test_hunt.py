@@ -138,6 +138,21 @@ class TestSpec:
                 lambda d: d.__setitem__("defaults", {"retry_seed": -1}),
                 "retry_seed",
             ),
+            # policy keys of the removed process-sharding layer
+            (
+                lambda d: d.__setitem__("defaults", {"jobs": 2}),
+                "unknown key 'jobs'",
+            ),
+            (
+                lambda d: d.__setitem__(
+                    "defaults", {"shard_product": False}
+                ),
+                "unknown key 'shard_product'",
+            ),
+            (
+                lambda d: d.__setitem__("defaults", {"chunk_size": 4}),
+                "unknown key 'chunk_size'",
+            ),
         ],
     )
     def test_invalid_hunt_specs_rejected(self, mutate, match):

@@ -129,6 +129,22 @@ def test_digest_is_stable_and_content_sensitive():
             lambda d: d.__setitem__("defaults", {"manager": "nope"}),
             "unknown manager",
         ),
+        # policy keys of the removed process-sharding layer
+        (
+            lambda d: d.__setitem__("defaults", {"jobs": 2}),
+            "unknown key 'jobs'",
+        ),
+        (
+            lambda d: d.__setitem__(
+                "cells", [{"tm": "seq", "property": "ss",
+                           "shard_product": False}]
+            ),
+            r"unknown key\(s\) \['shard_product'\]",
+        ),
+        (
+            lambda d: d.__setitem__("defaults", {"chunk_size": 4}),
+            "unknown key 'chunk_size'",
+        ),
     ],
 )
 def test_invalid_specs_are_rejected(mutate, match):

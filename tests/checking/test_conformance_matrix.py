@@ -1,11 +1,10 @@
 """Cross-engine conformance matrix: one suite, every engine combination.
 
-The safety pipeline now has five independent engine axes — the compiled
+The safety pipeline has four independent engine axes — the compiled
 TM engine, the compiled spec side (packed oracle on the lazy path,
 int-rows DFA on the materialized path), the dense array-backed BFS
 kernel (CSR successor tables + bitset seen-sets vs the set-based pair
-loop), process sharding (row-prefetch or the sharded product BFS
-itself), and the warm cache over its pluggable backends (disk pickle,
+loop), and the warm cache over its pluggable backends (disk pickle,
 in-memory, mmap segments).  Every cell of this matrix must
 produce **byte-identical** verdicts, counterexamples and reported
 counts against the naive reference path (``compiled=False``), holding
@@ -37,8 +36,8 @@ from repro.tm import (
 #: Algorithm × property cells that fit tier-1 time.  ModifiedTL2 (2, 2)
 #: and the seeded mutant are the violating instances: their
 #: counterexamples must survive every engine combination bit for bit.
-#: The managed cell exercises the stateful-manager product (which the
-#: compiled engine degrades to serial on — still byte-identical).
+#: The managed cell exercises the stateful-manager product (codec-less,
+#: so the compiled engine interns whole states — still byte-identical).
 CELLS = [
     pytest.param(lambda: TwoPhaseLockingTM(2, 1), SS, id="2pl21-ss"),
     pytest.param(lambda: TwoPhaseLockingTM(2, 1), OP, id="2pl21-op"),
@@ -71,44 +70,28 @@ def _tuple(res):
 
 def _combos():
     """Engine combinations: compiled × spec_compiled × dense-kernel ×
-    jobs × sharded-product × cache backend, pruned to the cells where
-    an axis exists (the naive path has no spec engine, no pool and no
-    cache; a pair sharder needs ``jobs > 1`` and a compiled spec side;
-    the dense kernel only engages on the all-int compiled-spec paths).
-    The backend axis: ``None`` is a cold run; ``"disk"`` warm-restores
-    everywhere; the ``"memory"`` and ``"mmap"`` backends join on the
-    serial combos (one representative of each per engine shape keeps
-    the sweep inside tier-1 time — the backend-protocol conformance
-    itself lives in ``tests/test_cache_backends.py``)."""
+    cache backend, pruned to the cells where an axis exists (the naive
+    path has no spec engine and no cache; the dense kernel only engages
+    on the all-int compiled-spec paths).  The backend axis: ``None`` is
+    a cold run, ``"disk"``, ``"memory"`` and ``"mmap"`` warm-restore
+    (the backend-protocol conformance itself lives in
+    ``tests/test_cache_backends.py``)."""
     for compiled in (True, False):
         for spec_compiled in (True, False) if compiled else (True,):
             dense_opts = (
                 (True, False) if compiled and spec_compiled else (False,)
             )
             for dense in dense_opts:
-                for jobs in (1, 2) if compiled else (1,):
-                    shard_opts = (
-                        (True, False)
-                        if jobs > 1 and spec_compiled
-                        else (True,)
-                    )
-                    for shard_product in shard_opts:
-                        backend_opts = (None,)
-                        if compiled:
-                            backend_opts = (
-                                (None, "disk", "memory", "mmap")
-                                if jobs == 1
-                                else (None, "disk")
-                            )
-                        for backend in backend_opts:
-                            yield {
-                                "compiled": compiled,
-                                "spec_compiled": spec_compiled,
-                                "dense": dense,
-                                "jobs": jobs,
-                                "shard_product": shard_product,
-                                "backend": backend,
-                            }
+                backend_opts = (
+                    (None, "disk", "memory", "mmap") if compiled else (None,)
+                )
+                for backend in backend_opts:
+                    yield {
+                        "compiled": compiled,
+                        "spec_compiled": spec_compiled,
+                        "dense": dense,
+                        "backend": backend,
+                    }
 
 
 @pytest.mark.parametrize("lazy_spec", [False, True], ids=["dfa", "oracle"])
@@ -141,8 +124,6 @@ def test_every_engine_combination_matches_naive(
             "compiled": combo["compiled"],
             "spec_compiled": combo["spec_compiled"],
             "dense_kernel": combo["dense"],
-            "jobs": combo["jobs"],
-            "shard_product": combo["shard_product"],
         }
         if combo["backend"] is not None:
             clear_spec_oracle_cache()
@@ -182,13 +163,11 @@ def test_violating_cell_actually_violates():
 
 
 def test_max_states_guard_identical_across_engines():
-    """The guard raise is order-sensitive, so bounded runs stay serial;
-    every engine combination must produce the identical message."""
+    """The guard raise is order-sensitive; every engine combination must
+    produce the identical message."""
     messages = set()
     for kwargs in (
         {},
-        {"jobs": 2},
-        {"jobs": 2, "shard_product": False},
         {"compiled": False},
         {"spec_compiled": False},
         {"dense_kernel": False},

@@ -42,6 +42,13 @@ class TestSafetyCommand:
     def test_unknown_tm(self):
         with pytest.raises(SystemExit):
             main(["safety", "nosuchtm"])
+        # options of the removed process-sharding layer are usage errors
+        for removed in (
+            ["--jobs", "2"], ["--no-shard-product"], ["--chunk-size", "4"]
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["safety", "2pl", "-k", "1", *removed])
+            assert exc.value.code == 2, removed
 
     def test_unknown_manager(self):
         with pytest.raises(SystemExit):
@@ -145,18 +152,6 @@ class TestDenseKernelAndProfileFlags:
                 "trace_rerun_s",
             }
             assert all(v >= 0 for v in record["phases"].values())
-
-    def test_chunk_size_flag_accepted(self, capsys):
-        assert main(
-            ["safety", "2pl", "-k", "1", "--jobs", "2", "--chunk-size", "4",
-             "--no-shard-product"]
-        ) == 0
-
-    def test_nonpositive_chunk_size_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["safety", "2pl", "-k", "1", "--jobs", "2",
-                  "--chunk-size", "0"])
-        assert exc.value.code == 2
 
 
 class TestBatchCommand:

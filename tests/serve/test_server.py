@@ -91,21 +91,19 @@ def test_daemon_verdicts_byte_identical_across_axes(tmp_path):
         with daemon.client() as client:
             for tm, prop in reference:
                 for warm in (True, False):
-                    for jobs in (1, 2):
-                        record = _check(
-                            client, tm=tm, property=prop,
-                            warm=warm, jobs=jobs,
-                        )
-                        assert record["status"] in ("pass", "fail")
-                        assert record["result"] == reference[tm, prop], (
-                            f"{tm}/{prop} warm={warm} jobs={jobs}"
-                        )
-                        # canonical encoding: byte-identical lines
-                        assert encode(
-                            {"result": record["result"]}
-                        ) == encode(
-                            {"result": reference[tm, prop]}
-                        )
+                    record = _check(
+                        client, tm=tm, property=prop, warm=warm
+                    )
+                    assert record["status"] in ("pass", "fail")
+                    assert record["result"] == reference[tm, prop], (
+                        f"{tm}/{prop} warm={warm}"
+                    )
+                    # canonical encoding: byte-identical lines
+                    assert encode(
+                        {"result": record["result"]}
+                    ) == encode(
+                        {"result": reference[tm, prop]}
+                    )
 
 
 def test_second_identical_request_hits_resident_tier():

@@ -75,6 +75,9 @@ def test_equivalent_schedules_share_a_digest():
         (lambda s: s["rules"][0].update(match=""), "match"),
         (lambda s: s["rules"][0].update(stall_ms=10), "stall_ms"),
         (lambda s: s["rules"][0].update(keep_bytes=3), "keep_bytes"),
+        # the pool dispatcher left with the process-sharding layer
+        (lambda s: s["rules"][0].update(site="pool.dispatch"),
+         "unknown site 'pool.dispatch'"),
     ],
 )
 def test_validation_rejects(mutate, fragment):
