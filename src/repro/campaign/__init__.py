@@ -1,7 +1,8 @@
 """Fault-tolerant campaign execution (``repro batch`` / ``repro doctor``).
 
 A *campaign* is a validated matrix of safety checks — TM × property ×
-(n, k), with per-cell overrides — executed one cell at a time under a
+(n, k), with per-cell overrides — executed up to ``concurrency`` cells
+at once (:mod:`.runner`; default one per usable CPU) under a
 supervisor (:mod:`.supervisor`) that isolates each check in its own
 subprocess with a wall-clock timeout, an RSS cap, and bounded
 retry-with-backoff that degrades warm→cold before

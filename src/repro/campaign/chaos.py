@@ -263,12 +263,13 @@ def _strip_faultplane(
 
 
 def _scenario_argv(scenario: str) -> List[str]:
-    if scenario == "batch":
-        return ["batch", "spec.json", "--journal", "journal.jsonl",
-                "--report-json", "report.json", "--quiet"]
-    if scenario == "hunt":
-        return ["hunt", "spec.json", "--journal", "journal.jsonl",
-                "--report-json", "report.json", "--quiet"]
+    # Serial cells: rules fire on the nth matching call per process,
+    # and concurrent cells would order journal appends and cache saves
+    # by timing — replay by (plane, seed) must be byte-identical.
+    if scenario in ("batch", "hunt"):
+        return [scenario, "spec.json", "--journal", "journal.jsonl",
+                "--report-json", "report.json", "--quiet",
+                "--concurrency", "1"]
     raise ChaosHarnessError(f"no CLI scenario {scenario!r}")
 
 

@@ -256,13 +256,16 @@ def run_hunt(
     resume: bool = True,
     limit: Optional[int] = None,
     progress=None,
+    concurrency: Optional[int] = None,
 ):
-    """Execute the hunt's campaign (journal-resumable, fault-isolated)
-    and return the :class:`~repro.campaign.runner.CampaignRun` for
+    """Execute the hunt's campaign (journal-resumable, fault-isolated,
+    ``concurrency`` cells at once — see
+    :func:`~repro.campaign.runner.run_campaign`) and return the
+    :class:`~repro.campaign.runner.CampaignRun` for
     :func:`~repro.campaign.hunt_report.build_hunt_report`."""
     from .runner import run_campaign
 
     return run_campaign(
-        spec.campaign, journal_path,
-        resume=resume, limit=limit, progress=progress,
+        spec.campaign, journal_path, resume=resume, limit=limit,
+        progress=progress, concurrency=concurrency,
     )

@@ -1,11 +1,13 @@
 """The campaign journal: an append-only JSONL outcome log.
 
 Line 1 is a header naming the campaign and its spec digest; every
-following line is one cell outcome.  Appends are atomic at the OS level
-(one ``write`` of one ``\\n``-terminated line on an ``O_APPEND`` file
-descriptor, fsynced before close), so a campaign killed mid-cell loses
-at most the in-flight cell — never a recorded one, and never the file's
-integrity.  Loading tolerates a torn final line (a crash during the
+following line is one cell outcome, in the order cells *finished* (with
+concurrent cells that is not spec order; reports re-key by spec order).
+Only the campaign's main thread appends.  Appends are atomic at the OS
+level (one ``write`` of one ``\\n``-terminated line on an ``O_APPEND``
+file descriptor, fsynced before close), so a campaign killed mid-run
+loses at most its in-flight cells — never a recorded one, and never the
+file's integrity.  Loading tolerates a torn final line (a crash during the
 append) by skipping unparseable lines; resume then simply re-runs the
 cell whose record was torn.
 """

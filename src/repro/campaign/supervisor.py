@@ -28,6 +28,12 @@ tier for free) and sets ``collect_warm=True`` so the child ships every
 payload it *built* back over the result pipe — the daemon absorbs those
 blobs into its resident tier, which is how warm state accumulates in a
 process whose checks all run in throwaway children.
+
+The campaign executor runs several cells at once, each ``run_cell`` in
+its own thread; it hands them all one :class:`CellGroup`, which lets it
+cancel every in-flight attempt at once (each attempt kills and reaps
+its own child) and serializes forks against its journal writes and
+progress output.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Tuple
 
 #: Fault classes a single attempt can report.
@@ -52,6 +60,53 @@ _TERM_GRACE_S = 5.0
 #: otherwise triple its way to minutes on high retry counts).  Cells
 #: override it with the validated ``backoff_cap_s`` policy key.
 BACKOFF_CAP_S = 30.0
+
+
+def interrupted_outcome() -> Dict[str, object]:
+    """The journal entry body (sans ``type``/``id``) of a cell stopped
+    mid-run by a drain; resume re-runs such cells."""
+    return {
+        "status": "interrupted",
+        "result": None,
+        "error": "interrupted mid-cell",
+        "attempts": 0,
+        "faults": [],
+    }
+
+
+class CellGroup:
+    """Concurrently supervised cells that are cancelled as one.
+
+    ``cancel()`` makes the group's read end readable for good: every
+    attempt waiting on its child wakes, kills and reaps the child, and
+    ``run_cell`` returns :func:`interrupted_outcome` instead of
+    retrying.  ``fork_lock`` is held around each child's fork; a caller
+    that writes a stream or the journal from another thread holds it
+    too, so no child is forked while that thread owns a lock (a stream
+    buffer's, the fault plane's) it could never release in the child.
+    """
+
+    def __init__(self) -> None:
+        self._read_fd, self._write_fd = os.pipe()
+        self.fork_lock = threading.Lock()
+
+    def fileno(self) -> int:
+        return self._read_fd
+
+    def cancel(self) -> None:
+        os.write(self._write_fd, b"x")
+
+    @property
+    def cancelled(self) -> bool:
+        return bool(wait([self], 0))
+
+    def sleep(self, seconds: float) -> None:
+        """``time.sleep`` that a cancel cuts short."""
+        wait([self], seconds)
+
+    def close(self) -> None:
+        os.close(self._read_fd)
+        os.close(self._write_fd)
 
 
 def _retry_delay(
@@ -252,20 +307,30 @@ def _attempt(
     attempt: int,
     cache=None,
     collect_warm: bool = False,
+    group: Optional[CellGroup] = None,
 ) -> Dict[str, object]:
     """One supervised attempt: ``{"ok": ..., ...}`` like the child's
-    message, plus the synthesized timeout/crash faults."""
+    message, plus the synthesized timeout/crash faults (and a plain
+    ``{"ok": False}`` when ``group`` was cancelled mid-attempt)."""
     ctx = multiprocessing.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_cell_worker,
         args=(child_conn, cell, attempt, cache, collect_warm),
     )
-    proc.start()
+    if group is None:
+        proc.start()
+    else:
+        with group.fork_lock:
+            proc.start()
     child_conn.close()
     timeout_s = float(cell.get("timeout_s") or 300.0)
     try:
-        if not parent_conn.poll(timeout_s):
+        ready = wait(
+            [parent_conn] if group is None else [parent_conn, group],
+            timeout_s,
+        )
+        if not ready:
             proc.terminate()
             proc.join(_TERM_GRACE_S)
             if proc.is_alive():
@@ -276,6 +341,8 @@ def _attempt(
                 "fault": FAULT_TIMEOUT,
                 "detail": f"no result within {timeout_s:g}s",
             }
+        if parent_conn not in ready:
+            return {"ok": False}  # cancelled: ``finally`` kills the child
         try:
             msg = parent_conn.recv()
         except EOFError:
@@ -289,7 +356,7 @@ def _attempt(
         return msg
     finally:
         parent_conn.close()
-        if proc.is_alive():  # pragma: no cover - belt and braces
+        if proc.is_alive():
             proc.kill()
             proc.join()
 
@@ -299,6 +366,7 @@ def run_cell(
     *,
     cache=None,
     collect_warm: bool = False,
+    group: Optional[CellGroup] = None,
 ) -> Dict[str, object]:
     """Run one cell to a journal entry (sans ``type``/``id``).
 
@@ -313,6 +381,10 @@ def run_cell(
     of the encoded payloads the child built, for the caller to absorb.
     The ``result`` payload itself never varies with these knobs — the
     byte-identity contract extends through the daemon.
+
+    Once ``group`` is cancelled the in-flight attempt's child is killed
+    and reaped, no retry starts, and the outcome is
+    :func:`interrupted_outcome`.
     """
     cell = dict(cell)  # degradation mutates a private copy
     retries = int(cell.get("retries") or 0)
@@ -333,7 +405,7 @@ def run_cell(
     delay = backoff_s
     for attempt in range(1, retries + 2):
         attempts = attempt
-        last = _attempt(cell, attempt, cache, collect_warm)
+        last = _attempt(cell, attempt, cache, collect_warm, group)
         if last.get("ok"):
             result = dict(last["result"])
             seconds = result.pop("seconds", None)
@@ -352,6 +424,8 @@ def run_cell(
             if collect_warm:
                 outcome["warm"] = last.get("warm") or {}
             return outcome
+        if group is not None and group.cancelled:
+            return interrupted_outcome()
         degraded = _degrade(cell) if attempt <= retries else None
         faults.append(
             {
@@ -365,7 +439,7 @@ def run_cell(
             delay = _retry_delay(
                 backoff_s, delay, rng, cap_s=backoff_cap_s
             )
-            time.sleep(delay)
+            (time.sleep if group is None else group.sleep)(delay)
     status = (
         "timeout" if last.get("fault") == FAULT_TIMEOUT else "error"
     )

@@ -23,8 +23,10 @@ Exit status is 0 when every requested property holds, 1 when a violation
 was found, 2 on usage errors — so the tool scripts cleanly into CI for
 anyone developing a TM with this library.  ``batch`` adds 3 for cells
 that errored or timed out (errors dominate violations) plus 143/130
-when drained by SIGTERM/^C mid-campaign (the in-flight cell is
-journaled as interrupted and the journal resumes); ``hunt`` inverts the
+when drained by SIGTERM/^C mid-campaign (every in-flight cell is
+journaled as interrupted and the journal resumes); both ``batch`` and
+``hunt`` run ``--concurrency N`` cells at once (default: one per usable
+CPU) with identical reports at any N; ``hunt`` inverts the
 contract per mutant — 1 means every seeded bug was caught (success), 3
 means a mutant escaped, a correct variant was falsely killed, or cells
 are incomplete (see :mod:`repro.campaign.hunt_report`); ``doctor``
@@ -289,32 +291,41 @@ def cmd_specs(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro batch`` interrupted-drain exit codes (128 + signal number,
-#: the shell convention orchestrators already match on).
+#: ``repro batch``/``repro hunt`` interrupted-drain exit codes (128 +
+#: signal number, the shell convention orchestrators already match on).
 EXIT_SIGTERM = 143
 EXIT_SIGINT = 130
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    # Imported lazily: the campaign layer back-imports the TM/property
-    # registries above, so a module-level import would be circular.
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
+def _run_campaign_command(
+    label: str, args: argparse.Namespace, execute, summarize
+) -> int:
+    """The shared body of ``batch`` and ``hunt``.
+
+    ``execute(resume=, progress=, concurrency=)`` runs the campaign
+    under a SIGTERM drain; ``summarize(run)`` returns ``(json,
+    markdown, exit_code)``, which lands in the report files and on
+    stdout.  A drain exits 143 (SIGTERM) or 130 (^C) — the runner has
+    journaled every in-flight cell as interrupted, so a resumed run
+    re-runs exactly those — and a journal I/O failure exits 3 with one
+    diagnosable line.
+    """
     import signal
 
-    from .campaign import (
-        CampaignInterrupted,
-        build_report,
-        load_spec,
-        render_markdown,
-        report_exit_code,
-        run_campaign,
-    )
+    from .campaign import CampaignInterrupted
     from .campaign.journal import JournalError
-    from .campaign.report import EXIT_ERRORS, render_json
+    from .campaign.report import EXIT_ERRORS
 
-    spec = load_spec(args.spec)
-    journal_path = args.journal or os.path.join(
-        os.path.dirname(os.path.abspath(args.spec)), "campaign.jsonl"
-    )
     progress = (
         None
         if args.quiet
@@ -326,53 +337,72 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     previous = signal.signal(signal.SIGTERM, _on_term)
     try:
-        run = run_campaign(
-            spec, journal_path, resume=not args.no_resume,
-            progress=progress,
+        run = execute(
+            resume=not args.no_resume, progress=progress,
+            concurrency=args.concurrency,
         )
-    except CampaignInterrupted:
-        # The runner already journaled the in-flight cell as
-        # interrupted; a resumed batch re-runs exactly that cell.
+    except (CampaignInterrupted, KeyboardInterrupt) as exc:
+        term = isinstance(exc, CampaignInterrupted)
         if not args.quiet:
             print(
-                "batch: interrupted (SIGTERM); journal is resumable",
+                f"{label}: interrupted ({'SIGTERM' if term else '^C'});"
+                " journal is resumable",
                 file=sys.stderr, flush=True,
             )
-        return EXIT_SIGTERM
-    except KeyboardInterrupt:
-        if not args.quiet:
-            print(
-                "batch: interrupted (^C); journal is resumable",
-                file=sys.stderr, flush=True,
-            )
-        return EXIT_SIGINT
+        return EXIT_SIGTERM if term else EXIT_SIGINT
     except JournalError as exc:
-        # The outcome log is gone (ENOSPC/EIO): no traceback, one
-        # diagnosable line; everything already journaled stays
-        # resumable once the disk recovers.
-        print(f"batch: {exc}", file=sys.stderr, flush=True)
+        # The outcome log is gone (ENOSPC/EIO): everything already
+        # journaled stays resumable once the disk recovers.
+        print(f"{label}: {exc}", file=sys.stderr, flush=True)
         return EXIT_ERRORS
     finally:
         signal.signal(signal.SIGTERM, previous)
-    report = build_report(run)
+    json_text, markdown, code = summarize(run)
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
-    markdown = render_markdown(report)
+            fh.write(json_text)
     if args.report_markdown:
         with open(args.report_markdown, "w", encoding="utf-8") as fh:
             fh.write(markdown + "\n")
     if not args.quiet:
         print(markdown)
-    return report_exit_code(report)
+    return code
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    # Imported lazily: the campaign layer back-imports the TM/property
+    # registries above, so a module-level import would be circular.
+    from .campaign import (
+        build_report,
+        load_spec,
+        render_markdown,
+        report_exit_code,
+        run_campaign,
+    )
+    from .campaign.report import render_json
+
+    spec = load_spec(args.spec)
+    journal_path = args.journal or os.path.join(
+        os.path.dirname(os.path.abspath(args.spec)), "campaign.jsonl"
+    )
+
+    def summarize(run):
+        report = build_report(run)
+        return (
+            render_json(report), render_markdown(report),
+            report_exit_code(report),
+        )
+
+    return _run_campaign_command(
+        "batch", args,
+        lambda **run_args: run_campaign(spec, journal_path, **run_args),
+        summarize,
+    )
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
     # Lazy import for the same circularity reason as cmd_batch.
-    import signal
-
     from .campaign import (
-        CampaignInterrupted,
         build_hunt_report,
         default_hunt_spec,
         hunt_exit_code,
@@ -381,8 +411,6 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         render_hunt_markdown,
         run_hunt,
     )
-    from .campaign.journal import JournalError
-    from .campaign.report import EXIT_ERRORS
 
     if args.list:
         from .tm.mutate import OPERATORS, default_mutants
@@ -405,51 +433,19 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         if args.spec
         else "hunt.jsonl"
     )
-    progress = (
-        None
-        if args.quiet
-        else (lambda line: print(line, file=sys.stderr, flush=True))
-    )
 
-    def _on_term(signum, frame):  # orchestrator drain: TERM == ^C
-        raise CampaignInterrupted(f"signal {signum}")
-
-    previous = signal.signal(signal.SIGTERM, _on_term)
-    try:
-        run = run_hunt(
-            spec, journal_path, resume=not args.no_resume,
-            progress=progress,
+    def summarize(run):
+        report = build_hunt_report(spec, run)
+        return (
+            render_hunt_json(report), render_hunt_markdown(report),
+            hunt_exit_code(report),
         )
-    except CampaignInterrupted:
-        if not args.quiet:
-            print(
-                "hunt: interrupted (SIGTERM); journal is resumable",
-                file=sys.stderr, flush=True,
-            )
-        return EXIT_SIGTERM
-    except KeyboardInterrupt:
-        if not args.quiet:
-            print(
-                "hunt: interrupted (^C); journal is resumable",
-                file=sys.stderr, flush=True,
-            )
-        return EXIT_SIGINT
-    except JournalError as exc:
-        print(f"hunt: {exc}", file=sys.stderr, flush=True)
-        return EXIT_ERRORS
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    report = build_hunt_report(spec, run)
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(render_hunt_json(report))
-    markdown = render_hunt_markdown(report)
-    if args.report_markdown:
-        with open(args.report_markdown, "w", encoding="utf-8") as fh:
-            fh.write(markdown + "\n")
-    if not args.quiet:
-        print(markdown)
-    return hunt_exit_code(report)
+
+    return _run_campaign_command(
+        "hunt", args,
+        lambda **run_args: run_hunt(spec, journal_path, **run_args),
+        summarize,
+    )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -731,8 +727,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_specs.set_defaults(func=cmd_specs)
 
+    # Run flags ``batch`` and ``hunt`` share (see _run_campaign_command).
+    campaign_run = argparse.ArgumentParser(add_help=False)
+    campaign_run.add_argument(
+        "--no-resume",
+        action="store_true",
+        help="truncate any existing journal instead of resuming it",
+    )
+    campaign_run.add_argument(
+        "--report-json",
+        metavar="PATH",
+        help="write the canonical JSON report here",
+    )
+    campaign_run.add_argument(
+        "--report-markdown",
+        metavar="PATH",
+        help="write the markdown report here",
+    )
+    campaign_run.add_argument(
+        "--quiet",
+        "-q",
+        action="store_true",
+        help="suppress progress (stderr) and the stdout report",
+    )
+    campaign_run.add_argument(
+        "--concurrency",
+        type=_positive_int,
+        metavar="N",
+        help="cells in flight at once, each in its own supervised child"
+        " (default: one per usable CPU); reports are identical at any N",
+    )
+
     p_batch = sub.add_parser(
         "batch",
+        parents=[campaign_run],
         help="run a fault-tolerant campaign from a JSON spec",
     )
     p_batch.add_argument("spec", help="path to the campaign spec (JSON)")
@@ -742,31 +770,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal file (default: campaign.jsonl next to the spec);"
         " an existing journal for the same spec resumes the campaign",
     )
-    p_batch.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="truncate any existing journal instead of resuming it",
-    )
-    p_batch.add_argument(
-        "--report-json",
-        metavar="PATH",
-        help="write the canonical JSON report here",
-    )
-    p_batch.add_argument(
-        "--report-markdown",
-        metavar="PATH",
-        help="write the markdown report here",
-    )
-    p_batch.add_argument(
-        "--quiet",
-        "-q",
-        action="store_true",
-        help="suppress progress (stderr) and the stdout report",
-    )
     p_batch.set_defaults(func=cmd_batch)
 
     p_hunt = sub.add_parser(
         "hunt",
+        parents=[campaign_run],
         help="sweep seeded-bug TM mutants through the campaign layer",
     )
     p_hunt.add_argument(
@@ -787,27 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal file (default: hunt.jsonl next to the spec, or"
         " ./hunt.jsonl for the default hunt); an existing journal for"
         " the same hunt resumes it",
-    )
-    p_hunt.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="truncate any existing journal instead of resuming it",
-    )
-    p_hunt.add_argument(
-        "--report-json",
-        metavar="PATH",
-        help="write the canonical JSON hunt report here",
-    )
-    p_hunt.add_argument(
-        "--report-markdown",
-        metavar="PATH",
-        help="write the markdown hunt report here",
-    )
-    p_hunt.add_argument(
-        "--quiet",
-        "-q",
-        action="store_true",
-        help="suppress progress (stderr) and the stdout report",
     )
     p_hunt.set_defaults(func=cmd_hunt)
 

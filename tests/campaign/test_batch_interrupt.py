@@ -47,7 +47,8 @@ def test_interrupt_mid_cell_journals_and_resumes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "run_cell", interrupting_run_cell)
     with pytest.raises(CampaignInterrupted):
-        run_campaign(spec, journal_path)
+        # serial: the first cell has passed before the second starts
+        run_campaign(spec, journal_path, concurrency=1)
 
     _header, entries = Journal(journal_path).load()
     assert entries["seq/ss/2x1"]["status"] == "pass"
