@@ -13,6 +13,22 @@ byte-identical at every concurrency.  ``limit`` runs only the first N
 pending cells; the tests use it to simulate an interruption
 deterministically (run 2 cells, "crash", resume, and compare reports).
 
+Spec prewarm: the deterministic specification depends only on
+``(n, k, property)``, never on the TM, so before starting any cell the
+runner builds each spec table the pending cells would otherwise build
+one child at a time (:func:`_prewarm_jobs` says which), ``width`` at
+once, each in a supervised child under the strictest ``timeout_s`` and
+``memory_mb`` of the cells that need it.  The child sends back flat
+int rows only; the parent installs them into
+:func:`~repro.spec.compiled.cached_spec_dfa` through the same
+validation a warm-cache load applies, and every cell forked afterwards
+inherits them copy-on-write.  The parent holds int rows only, never the
+rich DFA: a rich DFA in the parent would leave every child's garbage
+collector copying its pages, costing both the speed and the memory the
+prewarm is for.  A faulted build is not retried; one progress line
+names it and its cells build the table themselves, as they would
+without the prewarm.
+
 Signal drain: when SIGTERM/SIGINT lands mid-campaign (the CLI converts
 SIGTERM into :class:`CampaignInterrupted`), the runner stops starting
 cells, kills and reaps every in-flight child, and journals each
@@ -21,7 +37,9 @@ came back meanwhile) before the exception propagates, so orchestrators
 that TERM a batch get a journal that names exactly where it stopped —
 and resume *re-runs* interrupted cells rather than trusting a
 half-finished outcome.  A :class:`~.journal.JournalError` stops the
-same way, minus the journaling.
+same way, minus the journaling.  A drain during the prewarm kills its
+children the same way, through the same :class:`CellGroup`, and stops
+with no cell journaled.
 """
 
 from __future__ import annotations
@@ -29,11 +47,18 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .journal import Journal, JournalError
 from .spec import CampaignSpec, CampaignSpecError
-from .supervisor import CellGroup, interrupted_outcome, run_cell
+from .supervisor import (
+    FAULT_EXCEPTION,
+    CellGroup,
+    _attempt,
+    _report,
+    interrupted_outcome,
+    run_cell,
+)
 
 
 class CampaignInterrupted(BaseException):
@@ -124,8 +149,145 @@ def run_campaign(
     lines = _SpecOrderLines(
         [cell["id"] for cell in pending], len(entries), len(spec.cells)
     )
-    _execute(pending, width, journal, entries, lines, say)
+    group = CellGroup()
+    try:
+        _prewarm(pending, width, group, say)
+        _execute(pending, width, group, journal, entries, lines, say)
+    finally:
+        group.close()
     return CampaignRun(spec, entries)
+
+
+#: A spec table's key: ``(n, k, property name)``.
+SpecKey = Tuple[int, int, str]
+
+
+def _prewarm_jobs(
+    pending: List[Dict[str, object]],
+) -> Dict[SpecKey, Tuple[float, Optional[int]]]:
+    """The spec tables worth building before any cell starts, each with
+    the strictest ``(timeout_s, memory_mb)`` of the cells that need it.
+
+    A key qualifies when a pending cell takes the default all-int
+    DFA-sided path without a ``cache_dir``, no pending warm cell needs
+    the same table (so warm caches fill and fault exactly as before),
+    and this process does not hold its rows already.
+    """
+    from ..cli import PROPERTIES
+    from ..spec.compiled import cached_spec_dfa
+
+    dfa_cells = [
+        cell for cell in pending
+        if not cell.get("lazy_spec")
+        and cell.get("compiled", True)
+        and cell.get("spec_compiled", True)
+    ]
+
+    def key(cell: Dict[str, object]) -> SpecKey:
+        return (cell["n"], cell["k"], cell["property"])
+
+    warm = {key(cell) for cell in dfa_cells if cell.get("cache_dir")}
+    jobs: Dict[SpecKey, Tuple[float, Optional[int]]] = {}
+    for cell in dfa_cells:
+        n, k, prop = spec_key = key(cell)
+        if spec_key in warm or (
+            cached_spec_dfa(n, k, PROPERTIES[prop]).rows is not None
+        ):
+            continue
+        timeout_s = float(cell.get("timeout_s") or 300.0)
+        memory_mb = cell.get("memory_mb")
+        if spec_key in jobs:
+            prev_timeout_s, prev_memory_mb = jobs[spec_key]
+            timeout_s = min(timeout_s, prev_timeout_s)
+            memory_mb = min(
+                filter(None, (memory_mb, prev_memory_mb)), default=None
+            )
+        jobs[spec_key] = (timeout_s, memory_mb)
+    return jobs
+
+
+def _spec_rows(n: int, k: int, prop: str) -> Dict[str, object]:
+    """A prewarm child's message: one spec table as flat int rows plus
+    its state count.  The rich DFA it is built from dies with the
+    child."""
+    from ..cli import PROPERTIES
+    from ..spec.compiled import cached_spec_dfa
+
+    table = cached_spec_dfa(n, k, PROPERTIES[prop]).ensure()
+    flat, nstates = table.flat_rows()
+    return {"ok": True, "rows": flat, "num_states": nstates}
+
+
+def _spec_rows_worker(conn, key: SpecKey, memory_mb: Optional[int]) -> None:
+    _report(conn, memory_mb, lambda: _spec_rows(*key))
+
+
+def _prewarm(
+    pending: List[Dict[str, object]],
+    width: int,
+    group: CellGroup,
+    say: Callable[[str], None],
+) -> None:
+    """Build :func:`_prewarm_jobs`' tables, ``width`` supervised children
+    at once, and install each into this process's
+    :func:`~repro.spec.compiled.cached_spec_dfa` so every cell forked
+    afterwards inherits it.  A faulted build is not retried: its cells
+    build their own table, as without the prewarm.  A drain cancels the
+    group, reaps the children and re-raises."""
+    jobs = _prewarm_jobs(pending)
+    if not jobs:
+        return
+    from ..cli import PROPERTIES
+    from ..spec.compiled import cached_spec_dfa
+
+    todo = list(jobs.items())
+    results: "queue.Queue" = queue.Queue()
+
+    def build() -> None:
+        while not group.cancelled:
+            try:
+                spec_key, (timeout_s, memory_mb) = todo.pop()
+            except IndexError:
+                return
+            try:
+                msg = _attempt(
+                    _spec_rows_worker, (spec_key, memory_mb), timeout_s,
+                    group,
+                )
+            except Exception as exc:  # a failed fork is a faulted build
+                msg = {"ok": False, "fault": FAULT_EXCEPTION,
+                       "detail": repr(exc)}
+            results.put((spec_key, msg))
+
+    threads = [
+        threading.Thread(target=build, name=f"prewarm-{i}", daemon=True)
+        for i in range(min(width, len(jobs)))
+    ]
+    built: Dict[SpecKey, Dict[str, object]] = {}
+    try:
+        for thread in threads:
+            thread.start()
+        while len(built) < len(jobs):
+            spec_key, msg = results.get()
+            built[spec_key] = msg
+    except BaseException:
+        group.cancel()
+        for thread in threads:
+            thread.join()
+        raise
+    for thread in threads:
+        thread.join()
+    for n, k, prop in jobs:
+        msg = built[(n, k, prop)]
+        table = cached_spec_dfa(n, k, PROPERTIES[prop])
+        if not msg.get("ok"):
+            fault = msg.get("fault", FAULT_EXCEPTION)
+        elif table.install(msg.get("rows"), msg.get("num_states")):
+            continue
+        else:
+            fault = "rejected"
+        say(f"prewarm {n}x{k}/{prop}: {fault}; its cells build the table"
+            " themselves")
 
 
 def _result_text(entry: Dict[str, object]) -> str:
@@ -181,6 +343,7 @@ class _SpecOrderLines:
 def _execute(
     pending: List[Dict[str, object]],
     width: int,
+    group: CellGroup,
     journal: Journal,
     entries: Dict[str, Dict[str, object]],
     lines: _SpecOrderLines,
@@ -189,7 +352,6 @@ def _execute(
     """Run ``pending`` in spec order, at most ``width`` cells at once,
     journaling each outcome in the main thread as it returns."""
     results: "queue.Queue" = queue.Queue()
-    group = CellGroup()
     threads: List[threading.Thread] = []
     in_flight = set()
 
@@ -253,5 +415,3 @@ def _execute(
             for index in sorted(in_flight):
                 record(index, returned.get(index) or interrupted_outcome())
         raise
-    finally:
-        group.close()

@@ -34,6 +34,13 @@ its own thread; it hands them all one :class:`CellGroup`, which lets it
 cancel every in-flight attempt at once (each attempt kills and reaps
 its own child) and serializes forks against its journal writes and
 progress output.
+
+:func:`_attempt` is the one fork/wait/kill primitive: it supervises any
+child target that reports through :func:`_report` (memory cap, message
+or fault).  Besides cells it runs the campaign's spec prewarm
+(:mod:`.runner`), whose children build a spec table and send back flat
+int rows only, so the parent never holds the rich DFA its forked cells
+would otherwise drag along.
 """
 
 from __future__ import annotations
@@ -238,34 +245,13 @@ def _run_check(
     return result, stats, profile
 
 
-def _cell_worker(
-    conn,
-    cell: Dict[str, object],
-    attempt: int,
-    cache=None,
-    collect_warm: bool = False,
-) -> None:
+def _report(conn, memory_mb: Optional[int], body) -> None:
+    """The child side of every supervised attempt: cap the address
+    space, send ``body()``'s message back over ``conn`` — or the fault
+    it raised — and close the pipe."""
     try:
-        _apply_memory_cap(cell.get("memory_mb"))
-        _apply_injections(cell.get("inject") or {}, attempt)
-        baseline = (
-            cache.snapshot_keys()
-            if collect_warm and cache is not None and cell.get("cache_dir")
-            else None
-        )
-        result, stats, profile = _run_check(cell, cache)
-        msg: Dict[str, object] = {
-            "ok": True, "result": result, "stats": stats,
-        }
-        if profile is not None:
-            msg["profile"] = {
-                key: round(value, 6) for key, value in profile.items()
-            }
-        if baseline is not None:
-            # Ship the payloads this child *built* back to the parent:
-            # its forked copy of the resident tier dies with it.
-            msg["warm"] = cache.export_blobs(exclude=baseline)
-        conn.send(msg)
+        _apply_memory_cap(memory_mb)
+        conn.send(body())
     except MemoryError:
         conn.send(
             {"ok": False, "fault": FAULT_MEMORY,
@@ -294,6 +280,37 @@ def _cell_worker(
         conn.close()
 
 
+def _cell_worker(
+    conn,
+    cell: Dict[str, object],
+    attempt: int,
+    cache=None,
+    collect_warm: bool = False,
+) -> None:
+    def body() -> Dict[str, object]:
+        _apply_injections(cell.get("inject") or {}, attempt)
+        baseline = (
+            cache.snapshot_keys()
+            if collect_warm and cache is not None and cell.get("cache_dir")
+            else None
+        )
+        result, stats, profile = _run_check(cell, cache)
+        msg: Dict[str, object] = {
+            "ok": True, "result": result, "stats": stats,
+        }
+        if profile is not None:
+            msg["profile"] = {
+                key: round(value, 6) for key, value in profile.items()
+            }
+        if baseline is not None:
+            # Ship the payloads this child *built* back to the parent:
+            # its forked copy of the resident tier dies with it.
+            msg["warm"] = cache.export_blobs(exclude=baseline)
+        return msg
+
+    _report(conn, cell.get("memory_mb"), body)
+
+
 def _degrade(cell: Dict[str, object]) -> Optional[str]:
     """Mutate ``cell`` one rung down the ladder; name the rung taken."""
     if cell.get("cache_dir"):
@@ -303,28 +320,24 @@ def _degrade(cell: Dict[str, object]) -> Optional[str]:
 
 
 def _attempt(
-    cell: Dict[str, object],
-    attempt: int,
-    cache=None,
-    collect_warm: bool = False,
+    target,
+    args: tuple,
+    timeout_s: float,
     group: Optional[CellGroup] = None,
 ) -> Dict[str, object]:
-    """One supervised attempt: ``{"ok": ..., ...}`` like the child's
-    message, plus the synthesized timeout/crash faults (and a plain
-    ``{"ok": False}`` when ``group`` was cancelled mid-attempt)."""
+    """One supervised child: fork ``target(conn, *args)`` (which reports
+    through :func:`_report`), and return its message — or a synthesized
+    timeout/crash fault, or a plain ``{"ok": False}`` when ``group`` was
+    cancelled mid-attempt.  The child is always reaped before return."""
     ctx = multiprocessing.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_cell_worker,
-        args=(child_conn, cell, attempt, cache, collect_warm),
-    )
+    proc = ctx.Process(target=target, args=(child_conn,) + args)
     if group is None:
         proc.start()
     else:
         with group.fork_lock:
             proc.start()
     child_conn.close()
-    timeout_s = float(cell.get("timeout_s") or 300.0)
     try:
         ready = wait(
             [parent_conn] if group is None else [parent_conn, group],
@@ -405,7 +418,10 @@ def run_cell(
     delay = backoff_s
     for attempt in range(1, retries + 2):
         attempts = attempt
-        last = _attempt(cell, attempt, cache, collect_warm, group)
+        last = _attempt(
+            _cell_worker, (cell, attempt, cache, collect_warm),
+            float(cell.get("timeout_s") or 300.0), group,
+        )
         if last.get("ok"):
             result = dict(last["result"])
             seconds = result.pop("seconds", None)

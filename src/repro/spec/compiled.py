@@ -566,8 +566,16 @@ class CompiledSpecDFA:
         data = load_payload(cache_dir, self._cache_key())
         if not isinstance(data, dict):
             return False
-        flat = data.get("rows")
-        nstates = data.get("num_states")
+        if not self.install(data.get("rows"), data.get("num_states")):
+            return False
+        self._dirty = False  # the cache already holds this table
+        return True
+
+    def install(self, flat: object, nstates: object) -> bool:
+        """Adopt a flat table built elsewhere (a warm cache, a prewarm
+        child) as if :meth:`ensure` had built it — or reject it
+        wholesale: ``flat`` must be an int vector of ``nstates`` rows of
+        :attr:`num_symbols` cells, each ``SINK <= cell < nstates``."""
         ns = self.num_symbols
         if (
             not is_int_vector(flat)
@@ -585,21 +593,28 @@ class CompiledSpecDFA:
         self.rows = tuple(
             flat[i * ns : (i + 1) * ns] for i in range(nstates)
         )
-        self._dirty = False
+        self._dirty = True
         return True
+
+    def flat_rows(self) -> Tuple[array, int]:
+        """The built table as one flat typed vector plus its state
+        count — the form :meth:`install` and the warm cache take."""
+        assert self.rows is not None, "ensure() the table first"
+        flat = array(self.rows[0].typecode if self.rows else "i")
+        for row in self.rows:
+            flat.extend(row)
+        return flat, len(self.rows)
 
     def save_warm(self, cache_dir: str) -> bool:
         """Spill the table to ``cache_dir`` (no-op unless dirty): one
         flat typed vector plus the state count."""
         if not self._dirty or self.rows is None:
             return False
-        flat = array(self.rows[0].typecode if self.rows else "i")
-        for row in self.rows:
-            flat.extend(row)
+        flat, nstates = self.flat_rows()
         ok = save_payload(
             cache_dir,
             self._cache_key(),
-            {"rows": flat, "num_states": len(self.rows)},
+            {"rows": flat, "num_states": nstates},
         )
         if ok:
             self._dirty = False

@@ -182,6 +182,9 @@ def test_many_threads_journal_every_cell_once(tmp_path, monkeypatch):
         return _fake_outcome()
 
     monkeypatch.setattr(runner_mod, "run_cell", run_cell)
+    # The fake cells need no spec tables, and (2, k) up to k = 40 is
+    # far beyond what a prewarm child could build.
+    monkeypatch.setattr(runner_mod, "_prewarm", lambda *args: None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     said = []
